@@ -1029,7 +1029,44 @@ pub(crate) struct HostResult {
     pub(crate) stats: SyncStats,
     pub(crate) algo_secs: f64,
     pub(crate) partition_secs: f64,
-    pub(crate) partition: LocalGraph,
+    pub(crate) partition: PartitionScalars,
+}
+
+/// The per-host partition sizes [`PartitionStats`] aggregates — all a
+/// finished host reports of its partition, so assembly never copies one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct PartitionScalars {
+    pub(crate) num_proxies: u64,
+    pub(crate) num_local_edges: u64,
+    pub(crate) global_nodes: u32,
+    pub(crate) global_edges: u64,
+}
+
+impl PartitionScalars {
+    pub(crate) fn of(lg: &LocalGraph) -> Self {
+        PartitionScalars {
+            num_proxies: u64::from(lg.num_proxies()),
+            num_local_edges: lg.num_local_edges(),
+            global_nodes: lg.global_nodes(),
+            global_edges: lg.global_edges(),
+        }
+    }
+
+    /// Aggregates one launch's per-host scalars (rank order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` is empty.
+    pub(crate) fn stats(hosts: &[PartitionScalars]) -> PartitionStats {
+        let proxies: Vec<u64> = hosts.iter().map(|p| p.num_proxies).collect();
+        let edges: Vec<u64> = hosts.iter().map(|p| p.num_local_edges).collect();
+        PartitionStats::from_scalars(
+            hosts[0].global_nodes,
+            hosts[0].global_edges,
+            &proxies,
+            &edges,
+        )
+    }
 }
 
 /// What one host's compute body yields: integer labels, float labels
@@ -1078,7 +1115,7 @@ fn host_program<T: Transport>(
         stats: ctx.into_stats(),
         algo_secs,
         partition_secs,
-        partition: lg,
+        partition: PartitionScalars::of(&lg),
     }
 }
 
@@ -1105,7 +1142,7 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
         }
     }
     let host_stats: Vec<SyncStats> = per_host.iter().map(|h| h.stats.clone()).collect();
-    let partitions: Vec<LocalGraph> = per_host.iter().map(|h| h.partition.clone()).collect();
+    let partitions: Vec<PartitionScalars> = per_host.iter().map(|h| h.partition).collect();
     DistOutcome {
         int_labels,
         ranks,
@@ -1117,7 +1154,7 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
             .iter()
             .map(|h| h.partition_secs)
             .fold(0.0, f64::max),
-        partition: PartitionStats::of(&partitions),
+        partition: PartitionScalars::stats(&partitions),
         net: stats.snapshot(),
         recoveries: 0,
         degraded: false,
@@ -1201,7 +1238,7 @@ pub(crate) fn try_host_program<T: Transport>(
         stats: ctx.into_stats(),
         algo_secs,
         partition_secs,
-        partition: lg,
+        partition: PartitionScalars::of(&lg),
     })
 }
 

@@ -31,7 +31,9 @@
 //!   relaunches, up to `max_recoveries` times — process-level
 //!   rollback-restart, mirroring the in-process supervisor.
 
-use crate::driver::{try_dispatch, try_host_program, CkptSetup, DistOutcome, HostResult, Run};
+use crate::driver::{
+    try_dispatch, try_host_program, CkptSetup, DistOutcome, HostResult, PartitionScalars, Run,
+};
 use crate::{Algorithm, EngineKind, PagerankConfig};
 use gluon::{CheckpointStore, PhaseStats, RunStats, SyncError, SyncStats};
 use gluon_graph::{io as graph_io, max_out_degree_node, Csr, Gid};
@@ -41,7 +43,7 @@ use gluon_net::{
     join, CancelToken, NetError, NetStats, Rendezvous, SocketKind, SocketTransport, StatsSnapshot,
     Transport,
 };
-use gluon_partition::{PartitionStats, Policy};
+use gluon_partition::Policy;
 use gluon_trace::Tracer;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
@@ -185,10 +187,7 @@ struct WorkerReport {
     stats: SyncStats,
     algo_secs: f64,
     partition_secs: f64,
-    num_proxies: u64,
-    num_local_edges: u64,
-    global_nodes: u32,
-    global_edges: u64,
+    partition: PartitionScalars,
     net_bytes: Vec<u64>,
     net_messages: Vec<u64>,
     net_scalars: [u64; 5],
@@ -502,8 +501,7 @@ fn merge_reports(
         }
     }
     let host_stats: Vec<SyncStats> = reports.iter().map(|r| r.stats.clone()).collect();
-    let proxies: Vec<u64> = reports.iter().map(|r| r.num_proxies).collect();
-    let edges: Vec<u64> = reports.iter().map(|r| r.num_local_edges).collect();
+    let partitions: Vec<PartitionScalars> = reports.iter().map(|r| r.partition).collect();
     // Each worker's traffic matrix has only its own row populated (sends
     // are recorded at the source), so an elementwise sum merges them.
     let mut bytes = vec![0u64; world * world];
@@ -549,12 +547,7 @@ fn merge_reports(
         host_stats,
         algo_secs: reports.iter().map(|r| r.algo_secs).fold(0.0, f64::max),
         partition_secs: reports.iter().map(|r| r.partition_secs).fold(0.0, f64::max),
-        partition: PartitionStats::from_scalars(
-            reports[0].global_nodes,
-            reports[0].global_edges,
-            &proxies,
-            &edges,
-        ),
+        partition: PartitionScalars::stats(&partitions),
         net: StatsSnapshot {
             bytes,
             messages,
@@ -727,16 +720,10 @@ fn encode_report(
         (
             "partition",
             Json::obj([
-                (
-                    "num_proxies",
-                    Json::from(u64::from(hr.partition.num_proxies())),
-                ),
-                (
-                    "num_local_edges",
-                    Json::from(hr.partition.num_local_edges()),
-                ),
-                ("global_nodes", Json::from(hr.partition.global_nodes())),
-                ("global_edges", Json::from(hr.partition.global_edges())),
+                ("num_proxies", Json::from(hr.partition.num_proxies)),
+                ("num_local_edges", Json::from(hr.partition.num_local_edges)),
+                ("global_nodes", Json::from(hr.partition.global_nodes)),
+                ("global_edges", Json::from(hr.partition.global_edges)),
             ]),
         ),
         (
@@ -908,10 +895,12 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
         stats,
         algo_secs: f64::from_bits(as_u64(&j, "algo_secs_bits")?),
         partition_secs: f64::from_bits(as_u64(&j, "partition_secs_bits")?),
-        num_proxies: as_u64(part, "num_proxies")?,
-        num_local_edges: as_u64(part, "num_local_edges")?,
-        global_nodes: as_u64(part, "global_nodes")? as u32,
-        global_edges: as_u64(part, "global_edges")?,
+        partition: PartitionScalars {
+            num_proxies: as_u64(part, "num_proxies")?,
+            num_local_edges: as_u64(part, "num_local_edges")?,
+            global_nodes: as_u64(part, "global_nodes")? as u32,
+            global_edges: as_u64(part, "global_edges")?,
+        },
         net_bytes: u64_items(field(net, "bytes")?, "net.bytes")?,
         net_messages: u64_items(field(net, "messages")?, "net.messages")?,
         net_scalars,
@@ -1256,9 +1245,11 @@ mod tests {
             stats: out.host_stats[0].clone(),
             algo_secs: out.algo_secs,
             partition_secs: out.partition_secs,
-            partition: gluon_partition::partition_all(&graph, 1, Policy::Oec)
-                .pop()
-                .expect("one part"),
+            partition: PartitionScalars::of(
+                &gluon_partition::partition_all(&graph, 1, Policy::Oec)
+                    .pop()
+                    .expect("one part"),
+            ),
         };
         let doc = encode_report(0, 2, &hr, &stats, &hub).render();
         let decoded = decode_report(&doc).expect("decodes");

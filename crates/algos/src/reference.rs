@@ -152,15 +152,9 @@ pub fn kcore(graph: &Csr) -> Vec<u32> {
 }
 
 /// The undirected (symmetrized, deduplicated, loop-free) view of `graph` —
-/// the input convention for cc and kcore.
+/// the input convention for cc and kcore. See [`Csr::symmetrize`].
 pub fn symmetrize(graph: &Csr) -> Csr {
-    let mut b = gluon_graph::GraphBuilder::new(graph.num_nodes());
-    b.dedup().drop_self_loops();
-    for (src, e) in graph.edges() {
-        b.add_edge(src, e.dst, e.weight);
-        b.add_edge(e.dst, src, e.weight);
-    }
-    b.build()
+    graph.symmetrize()
 }
 
 /// Single-source betweenness-centrality dependencies (Brandes): for each

@@ -25,6 +25,16 @@ pub struct Edge {
 /// stored contiguously and visited with [`Csr::out_edges`]. Weights are
 /// optional: unweighted graphs store no weight array and report weight 1.
 ///
+/// # Row order
+///
+/// [`crate::GraphBuilder::build`] (and so [`Csr::from_edge_list`] and the
+/// unweighted generators) and [`Csr::symmetrize`] sort every row by
+/// `(dst, weight)`; [`Csr::transpose`] keeps that order. Deduplicated rows
+/// hold each `dst` once, with its minimum weight, and a built graph whose
+/// kept weights are all 1 stores no weights. Partitions, labels and wire
+/// bytes are deterministic because of this contract. [`Csr::from_parts`]
+/// and [`Csr::with_weights`] take rows as given.
+///
 /// # Examples
 ///
 /// ```

@@ -2,6 +2,7 @@
 
 use crate::stats::NetStats;
 use crate::transport::{CancelToken, MemoryTransport, Transport};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Runs `program` once per simulated host, in parallel, and returns the
@@ -24,7 +25,8 @@ use std::thread;
 ///
 /// # Panics
 ///
-/// Panics if any host's program panics (the panic is propagated).
+/// Panics if any host's program panics, with the payload of the first host
+/// that did (its peers are cancelled rather than left blocked).
 pub fn run_cluster<R, F>(world_size: usize, program: F) -> Vec<R>
 where
     R: Send,
@@ -49,27 +51,7 @@ where
     R: Send,
     F: Fn(&MemoryTransport) -> R + Send + Sync,
 {
-    let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
-    let results = thread::scope(|s| {
-        let program = &program;
-        let handles: Vec<_> = endpoints
-            .iter()
-            .map(|ep| {
-                thread::Builder::new()
-                    .name(format!("host-{}", ep.rank()))
-                    .spawn_scoped(s, move || program(ep))
-                    .expect("spawn host thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    (results, stats)
+    run_cluster_wrapped(world_size, stats, |ep| ep, program)
 }
 
 /// As [`run_cluster_with_stats`], but each host's endpoint is first passed
@@ -111,29 +93,9 @@ where
     ProgF: Fn(&W) -> R + Send + Sync,
 {
     let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
-    let results = thread::scope(|s| {
-        let wrap = &wrap;
-        let program = &program;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let rank = ep.rank();
-                thread::Builder::new()
-                    .name(format!("host-{rank}"))
-                    .spawn_scoped(s, move || {
-                        let net = wrap(ep);
-                        program(&net)
-                    })
-                    .expect("spawn host thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let results = run_hosts(endpoints, |ep| {
+        let net = wrap(ep);
+        program(&net)
     });
     (results, stats)
 }
@@ -142,11 +104,11 @@ where
 /// returns a `Result` and additionally receives the cluster's shared
 /// [`CancelToken`].
 ///
-/// The runner never trips the token itself — that is the program's (or a
-/// supervisor's) decision, because not every failure should abort the
-/// siblings. In particular a host simulating its own crash must *not*
-/// notify anyone: its peers are supposed to discover the silence through
-/// their failure detectors. A program that hits a failure its peers cannot
+/// The runner trips the token itself only when a host panics — otherwise
+/// that is the program's (or a supervisor's) decision, because not every
+/// failure should abort the siblings. In particular a host simulating its
+/// own crash must *not* notify anyone: its peers are supposed to discover
+/// the silence through their failure detectors. A program that hits a failure its peers cannot
 /// otherwise observe should `token.trip()` before returning `Err`, which
 /// makes every sibling blocked inside the in-memory transport (or a
 /// reliability wrapper over it) return [`crate::NetError::Cancelled`]
@@ -173,32 +135,81 @@ where
     ProgF: Fn(&W, &CancelToken) -> Result<R, E> + Send + Sync,
 {
     let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
-    let results = thread::scope(|s| {
-        let wrap = &wrap;
-        let program = &program;
+    let results = run_hosts(endpoints, |ep| {
+        let token = ep.cancel_token();
+        let net = wrap(ep);
+        program(&net, &token)
+    });
+    (results, stats)
+}
+
+/// Runs `host` on one thread per endpoint and returns the results in rank
+/// order.
+///
+/// A host that panics trips the cluster's [`CancelToken`] while it
+/// unwinds, so peers blocked on it get [`crate::NetError::Cancelled`]
+/// instead of waiting forever. Once every thread has finished, the
+/// payload of the *first* host to panic is re-raised — not a peer's
+/// `Cancelled` symptom.
+fn run_hosts<R, F>(endpoints: Vec<MemoryTransport>, host: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(MemoryTransport) -> R + Send + Sync,
+{
+    /// Trips the token and claims "first panicker" if dropped mid-unwind.
+    struct TripOnPanic<'a> {
+        rank: usize,
+        token: CancelToken,
+        first: &'a AtomicUsize,
+    }
+    impl Drop for TripOnPanic<'_> {
+        fn drop(&mut self) {
+            if thread::panicking() {
+                let _ = self.first.compare_exchange(
+                    NO_PANIC,
+                    self.rank,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+                self.token.trip();
+            }
+        }
+    }
+    const NO_PANIC: usize = usize::MAX;
+    let first = AtomicUsize::new(NO_PANIC);
+    let outcomes: Vec<thread::Result<R>> = thread::scope(|s| {
+        let (host, first) = (&host, &first);
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|ep| {
                 let rank = ep.rank();
-                let token = ep.cancel_token();
+                let guard = TripOnPanic {
+                    rank,
+                    token: ep.cancel_token(),
+                    first,
+                };
                 thread::Builder::new()
                     .name(format!("host-{rank}"))
                     .spawn_scoped(s, move || {
-                        let net = wrap(ep);
-                        program(&net, &token)
+                        let _guard = guard;
+                        host(ep)
                     })
                     .expect("spawn host thread")
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    (results, stats)
+    let first = first.load(Ordering::SeqCst);
+    if first != NO_PANIC {
+        if let Some(Err(payload)) = outcomes.into_iter().nth(first) {
+            std::panic::resume_unwind(payload);
+        }
+        unreachable!("host {first} claimed a panic but returned");
+    }
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -231,6 +242,42 @@ mod tests {
                 panic!("deliberate");
             }
         });
+    }
+
+    #[test]
+    fn a_panicking_host_cancels_its_blocked_peers() {
+        // Rank 0 waits at a barrier rank 1 never reaches: without the
+        // unwind guard the call would block forever on rank 0's join.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                run_cluster_wrapped(
+                    2,
+                    NetStats::new(2),
+                    |ep| ep,
+                    |net| {
+                        if net.rank() == 1 {
+                            panic!("rank 1 gave up before the barrier");
+                        }
+                        Communicator::new(net).barrier();
+                    },
+                )
+            });
+            let message = match outcome {
+                Ok(_) => "no panic".to_string(),
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default(),
+            };
+            tx.send(message).expect("test thread listens");
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a panicking host must not hang its peers");
+        assert_eq!(message, "rank 1 gave up before the barrier");
+        runner.join().expect("runner thread");
     }
 
     #[test]

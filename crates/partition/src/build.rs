@@ -125,64 +125,58 @@ fn decode_edges(payload: &Bytes, out: &mut Vec<(u32, u32, u32)>) {
 }
 
 /// Builds host `host`'s [`LocalGraph`] from the edges assigned to it.
+///
+/// Lids are masters sorted by gid, then mirrors sorted by gid. One dense
+/// gid → lid table finds the mirrors and relabels the edges in place.
 fn build_local(
     host: usize,
     ctx: &PolicyCtx,
     graph: &Csr,
-    edges: Vec<(u32, u32, u32)>,
+    mut edges: Vec<(u32, u32, u32)>,
 ) -> LocalGraph {
-    let num_hosts = ctx.num_hosts();
-    // Masters: every node this host owns, sorted by gid — present even when
-    // isolated, so reductions and initial values always have a home.
-    let mut master_gids: Vec<u32> = (0..graph.num_nodes())
-        .filter(|&v| ctx.master_of(Gid(v)) == host)
-        .collect();
-    master_gids.sort_unstable();
+    const ABSENT: u32 = u32::MAX;
+    const MIRROR: u32 = u32::MAX - 1;
+    let n = graph.num_nodes();
+    assert!(
+        n < MIRROR,
+        "gid space must leave room for the lid sentinels"
+    );
+    let mut lid_of = vec![ABSENT; n as usize];
+    let mut gids = Vec::new();
+    let mut owner = Vec::new();
+    // Masters: every node this host owns — present even when isolated, so
+    // reductions and initial values always have a home.
+    for v in 0..n {
+        if ctx.master_of(Gid(v)) == host {
+            lid_of[v as usize] = gids.len() as u32;
+            gids.push(Gid(v));
+            owner.push(host);
+        }
+    }
+    let num_masters = gids.len() as u32;
     // Mirrors: endpoints of local edges whose master is remote.
-    let mut mirror_gids: Vec<u32> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for &(u, v, _) in &edges {
-            for g in [u, v] {
-                if ctx.master_of(Gid(g)) != host && seen.insert(g) {
-                    mirror_gids.push(g);
-                }
+    for &(u, v, _) in &edges {
+        for g in [u, v] {
+            if lid_of[g as usize] == ABSENT {
+                lid_of[g as usize] = MIRROR;
             }
         }
     }
-    mirror_gids.sort_unstable();
-
-    let num_masters = master_gids.len() as u32;
-    let num_proxies = master_gids.len() + mirror_gids.len();
-    let mut gids = Vec::with_capacity(num_proxies);
-    let mut owner = Vec::with_capacity(num_proxies);
-    for &g in &master_gids {
-        gids.push(Gid(g));
-        owner.push(host);
-    }
-    for &g in &mirror_gids {
-        gids.push(Gid(g));
-        owner.push(ctx.master_of(Gid(g)));
-    }
-    let lid_of = |g: u32| -> u32 {
-        match master_gids.binary_search(&g) {
-            Ok(i) => i as u32,
-            Err(_) => {
-                let i = mirror_gids
-                    .binary_search(&g)
-                    .expect("endpoint of a local edge has a proxy");
-                (master_gids.len() + i) as u32
-            }
+    for (g, lid) in lid_of.iter_mut().enumerate() {
+        if *lid == MIRROR {
+            *lid = gids.len() as u32;
+            gids.push(Gid(g as u32));
+            owner.push(ctx.master_of(Gid(g as u32)));
         }
-    };
-    let mut builder = GraphBuilder::new(num_proxies as u32);
-    for (u, v, w) in edges {
-        builder.add_edge(Gid(lid_of(u)), Gid(lid_of(v)), w);
     }
-    let local_csr = builder.build();
+    for (u, v, _) in &mut edges {
+        *u = lid_of[*u as usize];
+        *v = lid_of[*v as usize];
+    }
+    let local_csr = GraphBuilder::from_edges(gids.len() as u32, edges).build();
     LocalGraph::from_parts(
         host,
-        num_hosts,
+        ctx.num_hosts(),
         ctx.policy(),
         graph.num_nodes(),
         graph.num_edges(),

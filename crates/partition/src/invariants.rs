@@ -29,6 +29,8 @@ fn violation(msg: String) -> Result<(), InvariantViolation> {
 ///
 /// * masters-first proxy layout, both ranges gid-sorted (construction
 ///   contract);
+/// * every local row sorted by `(dst, weight)` (the [`gluon_graph::Csr`]
+///   row-order contract partitions are built under);
 /// * per-policy structural invariants: OEC mirrors have no local outgoing
 ///   edges, IEC mirrors no local incoming edges, CVC mirrors never both.
 ///
@@ -36,6 +38,19 @@ fn violation(msg: String) -> Result<(), InvariantViolation> {
 ///
 /// Returns the first violation found.
 pub fn check_local_graph(lg: &LocalGraph) -> Result<(), InvariantViolation> {
+    for p in lg.proxies() {
+        let mut prev = None;
+        for e in lg.out_edges(p) {
+            let key = (e.dst, e.weight);
+            if prev.is_some_and(|prev| prev > key) {
+                return violation(format!(
+                    "row of {p} on host {} is out of (dst, weight) order at {key:?}",
+                    lg.host()
+                ));
+            }
+            prev = Some(key);
+        }
+    }
     for m in lg.masters() {
         if lg.owner_of(m) != lg.host() {
             return violation(format!("master {m} owned by {}", lg.owner_of(m)));

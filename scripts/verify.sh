@@ -29,9 +29,13 @@
 #      counting allocator: steady-state sync rounds allocate nothing,
 #      and toggling the arena changes no observable result;
 #   9. every bench compiles (`cargo bench --no-run`);
-#  10. rustfmt, as a check only;
-#  11. clippy across the workspace with warnings denied;
-#  12. rustdoc with warnings denied (missing docs on public API fail).
+#  10. the repo benchmark's own checks (perfbench/, its own workspace):
+#      `--smoke` runs every workload tiny and fails unless every metric is
+#      reported and every launch matched the oracle, and its tests check
+#      it against BENCHMARK.json;
+#  11. rustfmt, as a check only;
+#  12. clippy across the workspace with warnings denied;
+#  13. rustdoc with warnings denied (missing docs on public API fail).
 #
 # Every test invocation runs under a hang watchdog: the crash-tolerance
 # contract is "typed error, never a hang", so a test step that exceeds
@@ -98,6 +102,11 @@ fi
 
 echo "==> cargo bench --no-run (benches must always compile)"
 cargo bench --no-run --workspace --quiet
+
+echo "==> perfbench --smoke (every workload tiny, every metric reported; 300s watchdog)"
+watchdog 300 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke
+echo "==> perfbench tests (benchmark vs BENCHMARK.json; 300s watchdog)"
+watchdog 300 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "$FAST" == "0" ]]; then
     # Informational: regenerates the quick-scale fig8/table4 artifacts and
